@@ -475,3 +475,34 @@ func BenchmarkIngestReplayWire(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSurveyFeed measures the batch survey's streaming pass: one
+// op feeds one traceroute of a decoded campaign day through
+// SurveyFeed.Add, copied first into one reused Result as a scanner's
+// storage is reused. The day replays into the same bins, so the engine
+// is at steady state — 0 allocs/op is gated by check.sh.
+func BenchmarkSurveyFeed(b *testing.B) {
+	_, _, _, payloads := ingestBenchData(b)
+	day := make([]lastmile.Result, len(payloads))
+	asns := make([]lastmile.ASN, len(payloads))
+	for i, p := range payloads {
+		asn, err := wire.DecodeResultInto(&day[i], p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		asns[i] = asn
+	}
+	feed := lastmile.NewSurveyFeed(1, lastmile.SurveyOptions{})
+	var r lastmile.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(day)
+		r.CopyFrom(&day[k])
+		feed.Add(asns[k], &r)
+	}
+	b.StopTimer()
+	if _, _, err := feed.Finish("bench"); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -5,11 +5,13 @@
 // It reads newline-delimited RIPE Atlas traceroute JSON or the binary
 // wire format (cmd/atlasgen -format binary), detecting the encoding
 // automatically — either genuine Atlas API output or synthetic data —
-// groups probes by origin AS (probe metadata, then an optional RIB
+// and groups probes by origin AS (probe metadata, then an optional RIB
 // longest-prefix match, then the archive's own in-band attribution for
-// wire input), attributes each traceroute, and hands the attributed
-// dataset to the batch survey runner, which replays it through the
-// shared incremental delay engine and classifies every AS.
+// wire input). It is a single streaming pass: each traceroute is
+// decoded, attributed, estimated and observed into the shared
+// incremental delay engine, and none is retained, so memory follows the
+// engine's resident bins rather than the archive's size. Every AS is
+// classified once the input ends.
 //
 // Usage:
 //
@@ -18,11 +20,11 @@
 //	lmsurvey -in traces.jsonl -workers 8 -shards 8
 //	lmsurvey -in archive.lmw -split 8
 //
-// The survey fans out over -workers goroutines and -shards engine lock
-// stripes (both default GOMAXPROCS); -split K additionally replays the
-// dataset map-reduce style through K independent engines merged at the
-// end (engine.Merge). The report is byte-identical at any worker,
-// shard, or split count.
+// -workers fans the per-AS classification out (default GOMAXPROCS);
+// -shards sets the engine lock stripes (default 1); -split K partitions
+// the ASes across K independent engines merged before classification
+// (engine.Merge). The report is byte-identical at any worker, shard, or
+// split count.
 package main
 
 import (
@@ -40,28 +42,33 @@ import (
 	"github.com/last-mile-congestion/lastmile/internal/report"
 )
 
+// config is lmsurvey's command line.
+type config struct {
+	in, rib, probes, csvDir, metrics string
+	workers, shards, split           int
+}
+
 func main() {
-	var (
-		in       = flag.String("in", "-", "traceroute JSONL input (- for stdin)")
-		ribIn    = flag.String("rib", "", "optional RIB file ('prefix origin' lines) for probe->AS mapping")
-		probesIn = flag.String("probes", "", "optional probe metadata file (Atlas probe-archive JSON) for probe->AS mapping and anchor exclusion")
-		csvDir   = flag.String("csv", "", "optional directory for per-AS signal CSV dumps")
-		workers  = flag.Int("workers", 0, "worker goroutines for the per-AS pipeline (0 = GOMAXPROCS, 1 = serial; output is identical at any count)")
-		shards   = flag.Int("shards", 0, "engine lock stripes for the replay (0 = GOMAXPROCS; output is identical at any count)")
-		split    = flag.Int("split", 1, "map-reduce replay: split the dataset across this many independent engines and merge (output is identical at any count)")
-		metrics  = flag.String("metrics", "", "write an end-of-run telemetry snapshot (Prometheus text) to this file (- for stdout)")
-	)
+	var cfg config
+	flag.StringVar(&cfg.in, "in", "-", "traceroute archive, Atlas JSONL or binary wire (- for stdin)")
+	flag.StringVar(&cfg.rib, "rib", "", "optional RIB file ('prefix origin' lines) for probe->AS mapping")
+	flag.StringVar(&cfg.probes, "probes", "", "optional probe metadata file (Atlas probe-archive JSON) for probe->AS mapping and anchor exclusion")
+	flag.StringVar(&cfg.csvDir, "csv", "", "optional directory for per-AS signal CSV dumps")
+	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines for the per-AS classification (0 = GOMAXPROCS, 1 = serial; output is identical at any count)")
+	flag.IntVar(&cfg.shards, "shards", 0, "engine lock stripes (0 = 1 stripe; output is identical at any count)")
+	flag.IntVar(&cfg.split, "split", 1, "map-reduce replay: partition the ASes across this many independent engines and merge (output is identical at any count)")
+	flag.StringVar(&cfg.metrics, "metrics", "", "write an end-of-run telemetry snapshot (Prometheus text) to this file (- for stdout)")
 	flag.Parse()
-	if err := run(*in, *ribIn, *probesIn, *csvDir, *metrics, *workers, *shards, *split); err != nil {
+	if err := run(os.Stdout, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "lmsurvey:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in, ribIn, probesIn, csvDir, metricsOut string, workers, shards, split int) error {
+func run(stdout io.Writer, cfg config) error {
 	var r io.Reader = os.Stdin
-	if in != "-" {
-		f, err := os.Open(in)
+	if cfg.in != "-" {
+		f, err := os.Open(cfg.in)
 		if err != nil {
 			return err
 		}
@@ -69,8 +76,8 @@ func run(in, ribIn, probesIn, csvDir, metricsOut string, workers, shards, split 
 		r = f
 	}
 	var rib *lastmile.RIB
-	if ribIn != "" {
-		f, err := os.Open(ribIn)
+	if cfg.rib != "" {
+		f, err := os.Open(cfg.rib)
 		if err != nil {
 			return err
 		}
@@ -82,8 +89,8 @@ func run(in, ribIn, probesIn, csvDir, metricsOut string, workers, shards, split 
 		rib = parsed
 	}
 	var registry *lastmile.ProbeRegistry
-	if probesIn != "" {
-		f, err := os.Open(probesIn)
+	if cfg.probes != "" {
+		f, err := os.Open(cfg.probes)
 		if err != nil {
 			return err
 		}
@@ -95,14 +102,18 @@ func run(in, ribIn, probesIn, csvDir, metricsOut string, workers, shards, split 
 		registry = parsed
 	}
 
-	// Attribution pass: resolve each probe's origin AS once (probe
-	// metadata, when given, drives AS attribution and the §2 anchor
-	// exclusion; a RIB longest-prefix match is the fallback) and tag
-	// every traceroute with it. The survey runner does the rest.
+	// One pass: resolve each probe's origin AS once (probe metadata,
+	// when given, drives AS attribution and the §2 anchor exclusion; a
+	// RIB longest-prefix match is the fallback) and feed every
+	// traceroute straight from the scanner's reused storage.
+	reg := lastmile.DefaultMetrics()
+	feed := lastmile.NewSurveyFeed(cfg.split, lastmile.SurveyOptions{
+		Workers: cfg.workers,
+		Shards:  cfg.shards,
+		Metrics: reg,
+	})
 	probeASN := map[int]lastmile.ASN{}
-	asProbes := map[lastmile.ASN]map[int]bool{}
-	var results []lastmile.AttributedResult
-	var tMin, tMax time.Time
+	asProbes := map[lastmile.ASN]int{}
 	sc := lastmile.NewResultScanner(r)
 	total, anchorsSkipped := 0, 0
 	for sc.Scan() {
@@ -133,19 +144,9 @@ func run(in, ribIn, probesIn, csvDir, metricsOut string, workers, shards, split 
 				asn = sc.ASN()
 			}
 			probeASN[res.ProbeID] = asn
+			asProbes[asn]++
 		}
-		if asProbes[asn] == nil {
-			asProbes[asn] = map[int]bool{}
-		}
-		asProbes[asn][res.ProbeID] = true
-		// Clone: the scanner reuses res's storage on the next Scan.
-		results = append(results, lastmile.AttributedResult{ASN: asn, Result: res.Clone()})
-		if tMin.IsZero() || res.Timestamp.Before(tMin) {
-			tMin = res.Timestamp
-		}
-		if res.Timestamp.After(tMax) {
-			tMax = res.Timestamp
-		}
+		feed.Add(asn, res)
 	}
 	if err := sc.Err(); err != nil {
 		return err
@@ -153,30 +154,22 @@ func run(in, ribIn, probesIn, csvDir, metricsOut string, workers, shards, split 
 	if total == 0 {
 		return fmt.Errorf("no traceroutes in input")
 	}
-	start := tMin.Truncate(lastmile.DefaultBinWidth)
-	end := tMax.Add(lastmile.DefaultBinWidth).Truncate(lastmile.DefaultBinWidth)
+	start, end, _ := feed.Bounds()
 
-	fmt.Printf("lmsurvey: %d traceroutes, %d probes, %d AS group(s), %s .. %s",
+	fmt.Fprintf(stdout, "lmsurvey: %d traceroutes, %d probes, %d AS group(s), %s .. %s",
 		total, len(probeASN), len(asProbes), start.Format(time.RFC3339), end.Format(time.RFC3339))
 	if anchorsSkipped > 0 {
-		fmt.Printf(" (%d anchor traceroutes excluded)", anchorsSkipped)
+		fmt.Fprintf(stdout, " (%d anchor traceroutes excluded)", anchorsSkipped)
 	}
-	fmt.Print("\n\n")
+	fmt.Fprint(stdout, "\n\n")
 
-	reg := lastmile.DefaultMetrics()
-	survey, skipped, err := lastmile.RunSurveySharded(start.Format("2006-01"), results, split, lastmile.SurveyOptions{
-		Start:   start,
-		End:     end,
-		Workers: workers,
-		Shards:  shards,
-		Metrics: reg,
-	})
+	survey, skipped, err := feed.Finish(start.Format("2006-01"))
 	if err != nil {
 		return err
 	}
-	if metricsOut != "" {
+	if cfg.metrics != "" {
 		defer func() {
-			if derr := reg.DumpFile(metricsOut); derr != nil {
+			if derr := reg.DumpFile(cfg.metrics); derr != nil {
 				fmt.Fprintln(os.Stderr, "lmsurvey: metrics dump:", derr)
 			}
 		}()
@@ -204,20 +197,20 @@ func run(in, ribIn, probesIn, csvDir, metricsOut string, workers, shards, split 
 			if errors.Is(reason, lastmile.ErrNoUsableData) {
 				label = "(no usable data)"
 			}
-			tb.AddRowf(asn.String(), len(asProbes[asn]), label, "-", "-", "")
+			tb.AddRowf(asn.String(), asProbes[asn], label, "-", "-", "")
 			continue
 		}
 		tb.AddRowf(asn.String(), res.Probes, res.Class.String(),
 			fmt.Sprintf("%.2f", res.DailyAmplitude),
 			fmt.Sprintf("%.3f", res.Peak.Freq),
 			report.Sparkline(report.Downsample(res.Signal.Values, 48), 0))
-		if csvDir != "" {
-			if err := dumpCSV(csvDir, asn, res.Signal); err != nil {
+		if cfg.csvDir != "" {
+			if err := dumpCSV(cfg.csvDir, asn, res.Signal); err != nil {
 				return err
 			}
 		}
 	}
-	return tb.Render(os.Stdout)
+	return tb.Render(stdout)
 }
 
 func dumpCSV(dir string, asn lastmile.ASN, signal *lastmile.Series) (err error) {

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/last-mile-congestion/lastmile/internal/bgp"
@@ -82,6 +82,8 @@ type SkippedAS struct {
 // usable last-mile segment.
 var ErrNoUsableData = errors.New("no usable last-mile data")
 
+var errNoResults = errors.New("core: no results to survey")
+
 // RunSurvey runs the paper's batch pipeline (§2.1 + §2.3) over one
 // completed measurement period: it replays the attributed results
 // through the shared incremental delay engine (the same engine the
@@ -94,101 +96,153 @@ func RunSurvey(period string, results []AttributedResult, opts SurveyOptions) (*
 	return RunSurveySharded(period, results, 1, opts)
 }
 
-// RunSurveySharded is RunSurvey's map-reduce form: the results are
-// split round-robin across K independent engines, fed in parallel, and
-// merged (engine.Merge) before classification. Per-bin medians are
-// exact order statistics, so the merged engine is observation-for-
-// observation equivalent to one engine having seen everything — the
-// survey is bit-identical at any split count, which
-// TestRunSurveyShardedEquivalence pins for K ∈ {1, 2, 8}. Split is the
-// unit of coarse-grained parallelism (and, eventually, of distribution:
-// each split's engine state could arrive as a wire snapshot from
-// another process); Shards remains the per-engine lock striping.
+// RunSurveySharded is RunSurvey's map-reduce form over a slice: it
+// feeds every result through a SurveyFeed split across K engines and
+// finishes it. The survey is bit-identical at any split count, which
+// TestRunSurveyShardedEquivalence pins for K ∈ {1, 2, 8}; a split
+// larger than the input is clamped to its length.
 func RunSurveySharded(period string, results []AttributedResult, split int, opts SurveyOptions) (*Survey, []SkippedAS, error) {
-	opts = opts.withDefaults()
 	if len(results) == 0 {
-		return nil, nil, errors.New("core: no results to survey")
+		return nil, nil, errNoResults
 	}
-	if split < 1 {
-		split = 1
+	feed := NewSurveyFeed(min(split, len(results)), opts)
+	for i, ar := range results {
+		if ar.Result == nil {
+			return nil, nil, fmt.Errorf("core: nil result at index %d", i)
+		}
+		feed.Add(ar.ASN, ar.Result)
 	}
-	if split > len(results) {
-		split = len(results)
-	}
+	return feed.Finish(period)
+}
 
-	// Derive the period bounds from the data when not pinned.
-	start, end := opts.Start, opts.End
-	if start.IsZero() || end.IsZero() {
-		tMin, tMax := results[0].Result.Timestamp, results[0].Result.Timestamp
-		for _, ar := range results[1:] {
-			if ar.Result.Timestamp.Before(tMin) {
-				tMin = ar.Result.Timestamp
-			}
-			if ar.Result.Timestamp.After(tMax) {
-				tMax = ar.Result.Timestamp
-			}
-		}
-		if start.IsZero() {
-			start = tMin.Truncate(opts.BinWidth)
-		}
-		if end.IsZero() {
-			end = tMax.Add(opts.BinWidth).Truncate(opts.BinWidth)
-		}
-	}
-	if !start.Before(end) {
-		return nil, nil, fmt.Errorf("core: survey period start %v does not precede end %v", start, end)
-	}
-	nBins := int(end.Sub(start) / opts.BinWidth)
-	if end.Sub(start)%opts.BinWidth != 0 {
-		nBins++
-	}
+// SurveyFeed is the batch survey as one streaming pass: each traceroute
+// is estimated and observed into an unbounded engine as it arrives and
+// nothing is retained, so a survey's memory is the engine's resident
+// bins, not the archive. Batch is thereby literally a replay of
+// streaming (DESIGN.md §11). A feed is single-use and not safe for
+// concurrent use: Add every result, then Finish once.
+//
+// The feed is split across K independent engines by a Fibonacci hash of
+// the ASN and merged (engine.Merge) at Finish. Per-bin medians are exact
+// order statistics, so the survey is bit-identical at any split count.
+// Split is the unit of coarse-grained distribution — each engine's state
+// could arrive as a wire snapshot from another process — while
+// SurveyOptions.Shards remains the per-engine lock striping.
+type SurveyFeed struct {
+	opts    SurveyOptions
+	reg     *telemetry.Registry
+	engines []*engine.Engine
+	// asns is the AS universe: every fed AS, usable samples or not, so
+	// wholly-unusable ASes surface as skipped.
+	asns       map[bgp.ASN]struct{}
+	n          int
+	tMin, tMax time.Time
+	// scratch is the reused estimate buffer; Observe copies out of it.
+	scratch  []float64
+	unusable *telemetry.Counter
+	// feedTimer spans the whole pass, from NewSurveyFeed to Finish, so
+	// a caller decoding as it feeds is timed end to end.
+	feedTimer telemetry.Timer
+}
 
+// NewSurveyFeed starts a survey pass split across split engines (at
+// least one).
+func NewSurveyFeed(split int, opts SurveyOptions) *SurveyFeed {
+	opts = opts.withDefaults()
+	split = max(split, 1)
 	reg := opts.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-
-	// Replay the period through K unbounded engines, each fed every
-	// split-th result (deterministic round-robin). Per-bin medians are
-	// permutation-invariant, so neither the split nor the feed order
-	// matters, and within each engine ingestion still fans out across
-	// the lock stripes. All engines share one registry, so the merged
-	// Stats report whole-survey totals.
-	// Engines register resident-state gauges into the shared registry
-	// with last-wins replacement; constructing engine 0 — the merge
-	// target that survives the reduce — last keeps those gauges reading
-	// the engine that actually holds the merged state.
-	engines := make([]*engine.Engine, split)
+	f := &SurveyFeed{
+		opts:     opts,
+		reg:      reg,
+		engines:  make([]*engine.Engine, split),
+		asns:     make(map[bgp.ASN]struct{}),
+		unusable: reg.Counter("survey_unusable_total"),
+	}
+	// All engines share one registry, so the merged Stats report
+	// whole-survey totals. Engines register resident-state gauges with
+	// last-wins replacement; constructing engine 0 — the merge target
+	// that survives Finish — last keeps those gauges reading the engine
+	// that actually holds the merged state.
 	for k := split - 1; k >= 0; k-- {
-		engines[k] = engine.New(engine.Options{
+		f.engines[k] = engine.New(engine.Options{
 			BinWidth:       opts.BinWidth,
 			MinTraceroutes: opts.MinTraceroutes,
 			Shards:         opts.Shards,
 			Metrics:        reg,
 		})
 	}
-	feedTimer := reg.Histogram("survey_feed_seconds", telemetry.DefLatencyBuckets).Start()
-	err := parallel.ForEach(context.Background(), opts.Workers, len(results), func(i int) error {
-		ar := results[i]
-		if ar.Result == nil {
-			return fmt.Errorf("core: nil result at index %d", i)
-		}
-		if samples, _, ok := lm.Estimate(ar.Result); ok {
-			engines[i%split].Observe(ar.ASN, ar.Result.ProbeID, ar.Result.Timestamp, samples)
-		}
-		return nil
-	})
-	feedTimer.Stop()
-	if err != nil {
-		return nil, nil, err
+	f.feedTimer = reg.Histogram("survey_feed_seconds", telemetry.DefLatencyBuckets).Start()
+	return f
+}
+
+// Add feeds one attributed traceroute. r is read, never retained, so a
+// scanner's reused Result can be passed straight through. A traceroute
+// without a last-mile segment still widens the period and the AS
+// universe, and counts in survey_unusable_total.
+//
+//lmvet:hotpath
+func (f *SurveyFeed) Add(asn bgp.ASN, r *traceroute.Result) {
+	f.asns[asn] = struct{}{}
+	if f.n == 0 || r.Timestamp.Before(f.tMin) {
+		f.tMin = r.Timestamp
+	}
+	if f.n == 0 || r.Timestamp.After(f.tMax) {
+		f.tMax = r.Timestamp
+	}
+	f.n++
+	samples, _, ok := lm.EstimateInto(f.scratch[:0], r)
+	f.scratch = samples
+	if !ok {
+		f.unusable.Inc()
+		return
+	}
+	h := uint64(asn) * 0x9e3779b97f4a7c15
+	f.engines[h%uint64(len(f.engines))].Observe(asn, r.ProbeID, r.Timestamp, samples)
+}
+
+// Bounds returns the survey period [start, end): SurveyOptions.Start
+// and End where pinned, otherwise the earliest fed timestamp floored
+// and the latest ceiled to bin boundaries. ok is false before any Add.
+func (f *SurveyFeed) Bounds() (start, end time.Time, ok bool) {
+	start, end = f.opts.Start, f.opts.End
+	if f.n == 0 {
+		return start, end, false
+	}
+	if start.IsZero() {
+		start = f.tMin.Truncate(f.opts.BinWidth)
+	}
+	if end.IsZero() {
+		end = f.tMax.Add(f.opts.BinWidth).Truncate(f.opts.BinWidth)
+	}
+	return start, end, true
+}
+
+// Finish ends the pass: it folds the split engines into one and
+// classifies every fed AS over Bounds. ASes that cannot be classified
+// are returned with their reasons.
+func (f *SurveyFeed) Finish(period string) (*Survey, []SkippedAS, error) {
+	f.feedTimer.Stop()
+	start, end, ok := f.Bounds()
+	if !ok {
+		return nil, nil, errNoResults
+	}
+	if !start.Before(end) {
+		return nil, nil, fmt.Errorf("core: survey period start %v does not precede end %v", start, end)
+	}
+	nBins := int(end.Sub(start) / f.opts.BinWidth)
+	if end.Sub(start)%f.opts.BinWidth != 0 {
+		nBins++
 	}
 
 	// Reduce: fold every split engine into the first. Merge is
 	// commutative and associative, so a sequential left fold is as good
 	// as any merge tree.
-	eng := engines[0]
-	mergeTimer := reg.Histogram("survey_merge_seconds", telemetry.DefLatencyBuckets).Start()
-	for _, o := range engines[1:] {
+	eng := f.engines[0]
+	mergeTimer := f.reg.Histogram("survey_merge_seconds", telemetry.DefLatencyBuckets).Start()
+	for _, o := range f.engines[1:] {
 		if err := eng.Merge(o); err != nil {
 			mergeTimer.Stop()
 			return nil, nil, err
@@ -196,24 +250,17 @@ func RunSurveySharded(period string, results []AttributedResult, split int, opts
 	}
 	mergeTimer.Stop()
 
-	return classifySurvey(period, eng, results, start, nBins, opts, reg)
+	universe := make([]bgp.ASN, 0, len(f.asns))
+	for asn := range f.asns {
+		universe = append(universe, asn)
+	}
+	slices.Sort(universe)
+	return classifySurvey(period, eng, universe, start, nBins, f.opts, f.reg)
 }
 
 // classifySurvey runs the §2.3 classification pass over a fed engine
-// and assembles the survey — the shared tail of the single-engine and
-// map-reduce paths.
-func classifySurvey(period string, eng *engine.Engine, results []AttributedResult, start time.Time, nBins int, opts SurveyOptions, reg *telemetry.Registry) (*Survey, []SkippedAS, error) {
-	// The AS universe covers every attributed AS, not just those with
-	// usable samples, so wholly-unusable ASes surface as skipped.
-	seen := make(map[bgp.ASN]bool)
-	var universe []bgp.ASN
-	for _, ar := range results {
-		if !seen[ar.ASN] {
-			seen[ar.ASN] = true
-			universe = append(universe, ar.ASN)
-		}
-	}
-	sort.Slice(universe, func(i, j int) bool { return universe[i] < universe[j] })
+// for every AS of the sorted universe and assembles the survey.
+func classifySurvey(period string, eng *engine.Engine, universe []bgp.ASN, start time.Time, nBins int, opts SurveyOptions, reg *telemetry.Registry) (*Survey, []SkippedAS, error) {
 	engineASes := make(map[bgp.ASN]bool)
 	for _, asn := range eng.ASNs() {
 		engineASes[asn] = true
@@ -235,7 +282,9 @@ func classifySurvey(period string, eng *engine.Engine, results []AttributedResul
 		}
 		cls, err := Classify(signal, opts.Classifier)
 		if err != nil {
-			return verdict{reason: fmt.Errorf("unclassifiable: %w", err)}, nil
+			// Renderers label skips "unclassifiable"; the classifier's
+			// own error is the reason.
+			return verdict{reason: err}, nil
 		}
 		return verdict{result: &ASResult{ASN: asn, Probes: n, Signal: signal, Classification: cls}}, nil
 	})

@@ -2,8 +2,8 @@
 // engine of the last-mile pipeline (§2.1): bin keying, the <3-traceroute
 // discard rule, exact incremental per-bin medians, min-subtraction, and
 // population aggregation. The paper's math lives here exactly once —
-// the batch survey (internal/core.RunSurvey) replays a completed period
-// through an unbounded engine, and the streaming monitor
+// the batch survey (internal/core.SurveyFeed) streams a completed
+// period through an unbounded engine, and the streaming monitor
 // (internal/stream.Monitor) drives a windowed engine continuously; both
 // produce bit-for-bit identical signals from the same observations.
 //

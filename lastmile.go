@@ -308,13 +308,23 @@ func RunSurvey(period string, results []AttributedResult, opts SurveyOptions) (*
 	return core.RunSurvey(period, results, opts)
 }
 
-// RunSurveySharded is RunSurvey's map-reduce form: the dataset is split
-// round-robin across split independent engines, fed in parallel, and
-// merged before classification. Per-bin medians are exact order
-// statistics, so the survey is bit-identical at any split count.
+// RunSurveySharded is RunSurvey's map-reduce form: the dataset is
+// partitioned by AS across split independent engines, which are merged
+// before classification. Per-bin medians are exact order statistics, so
+// the survey is bit-identical at any split count.
 func RunSurveySharded(period string, results []AttributedResult, split int, opts SurveyOptions) (*Survey, []SkippedAS, error) {
 	return core.RunSurveySharded(period, results, split, opts)
 }
+
+// SurveyFeed is the batch survey as one streaming pass: Add each
+// attributed traceroute as it is decoded (the result is never
+// retained), read the derived period from Bounds, then Finish to
+// classify. Memory is the engine's resident bins, not the archive.
+type SurveyFeed = core.SurveyFeed
+
+// NewSurveyFeed starts a survey pass split across split engines, as
+// RunSurveySharded does.
+func NewSurveyFeed(split int, opts SurveyOptions) *SurveyFeed { return core.NewSurveyFeed(split, opts) }
 
 // ASN is an autonomous system number.
 type ASN = bgp.ASN

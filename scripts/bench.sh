@@ -40,7 +40,10 @@
 # the end-to-end archive replays) and rewrites BENCH_ingest.json. Those
 # rows carry MB/s so the JSON-vs-binary decode ratio is visible in the
 # snapshot; the 0 allocs_per_op on the two Decode rows (JSON and Wire,
-# not Stdlib) is the decode hot-path contract check.sh gates.
+# not Stdlib) is the decode hot-path contract check.sh gates. The
+# BenchmarkSurveyFeed row (one op = one traceroute fed to the batch
+# survey's streaming pass, 200000 iterations) carries the same 0
+# allocs_per_op contract.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -96,8 +99,10 @@ record() {
   : > "$raw"
   echo "==> measuring BenchmarkIngest* (decode + replay, 200 iterations)" >&2
   go test -run '^$' -bench 'BenchmarkIngest' -benchmem -benchtime 200x -count=1 . | tee -a "$raw" >&2
+  echo "==> measuring BenchmarkSurveyFeed (200000 iterations)" >&2
+  go test -run '^$' -bench 'BenchmarkSurveyFeed$' -benchmem -benchtime 200000x -count=1 . | tee -a "$raw" >&2
   render_json "$raw" BENCH_ingest.json \
-    "ingest decode benchmark snapshot (one op = one synthetic campaign day); regenerate with scripts/bench.sh record"
+    "ingest benchmark snapshot (one op = one synthetic campaign day; for BenchmarkSurveyFeed, one traceroute fed); regenerate with scripts/bench.sh record"
 }
 
 if [[ "${1:-}" == "record" ]]; then

@@ -135,12 +135,14 @@ go run ./cmd/lmvet \
   -severity goleak=error,chanprotocol=error,ctxflow=error \
   -baseline lmvet.baseline ./...
 
-# Hot-path gate, dynamic half: the ingest benchmark must report exactly
-# 0 allocs/op at every shard width. 200000 uncached iterations amortise
-# pool warm-up and window-map growth to steady state — the same
-# measurement scripts/bench.sh record checks into BENCH_engine.json.
-stage "zero-alloc ingest gate (BenchmarkMonitorObserve, 0 allocs/op)"
-go test -run '^$' -bench 'BenchmarkMonitorObserve' -benchmem -benchtime 200000x -count=1 . \
+# Hot-path gate, dynamic half: the ingest benchmarks — the streaming
+# monitor at every shard width and the batch survey's feed — must report
+# exactly 0 allocs/op. 200000 uncached iterations amortise pool warm-up
+# and window-map growth to steady state — the same measurements
+# scripts/bench.sh record checks into BENCH_engine.json and
+# BENCH_ingest.json.
+stage "zero-alloc ingest gate (BenchmarkMonitorObserve, BenchmarkSurveyFeed, 0 allocs/op)"
+go test -run '^$' -bench 'BenchmarkMonitorObserve|BenchmarkSurveyFeed$' -benchmem -benchtime 200000x -count=1 . \
   | tee /dev/stderr \
   | awk '
       /^Benchmark/ && /allocs\/op/ {
