@@ -12,6 +12,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -382,7 +384,8 @@ func byteTotal(chunks [][]byte) int64 {
 }
 
 // BenchmarkIngestDecodeJSONStdlib is the before picture: one op decodes
-// the day's results through encoding/json (the pre-rewrite ingest path).
+// the day's results through encoding/json (traceroute.ParseAtlas, the
+// reference decoder the zero-alloc parser is fuzzed against).
 func BenchmarkIngestDecodeJSONStdlib(b *testing.B) {
 	lines, _, _, _ := ingestBenchData(b)
 	b.SetBytes(byteTotal(lines))
@@ -390,7 +393,7 @@ func BenchmarkIngestDecodeJSONStdlib(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, line := range lines {
-			if _, err := lastmile.ParseAtlasResult(line); err != nil {
+			if _, err := traceroute.ParseAtlas(line); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -401,6 +404,67 @@ func BenchmarkIngestDecodeJSONStdlib(b *testing.B) {
 // decoding into one reused Result — 0 allocs/op is gated by check.sh.
 func BenchmarkIngestDecodeJSON(b *testing.B) {
 	lines, _, _, _ := ingestBenchData(b)
+	b.SetBytes(byteTotal(lines))
+	b.ReportAllocs()
+	var r lastmile.Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, line := range lines {
+			if err := traceroute.ParseAtlasInto(&r, line); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// atlasShapeBenchLines builds one day of traceroutes as the RIPE Atlas
+// API serves them, unlike MarshalAtlas's minimal re-serialisation:
+// compact JSON carrying the top-level fields the decoder ignores
+// (lts, endtime, dst_name, msm_name, …), a size on every reply,
+// millisecond RTTs with three decimals, and a mix of "*" timeouts and
+// "err" replies.
+func atlasShapeBenchLines() [][]byte {
+	rng := rand.New(rand.NewSource(1))
+	rtt := func(base float64) string {
+		return strconv.FormatFloat(base+rng.Float64()*base/4, 'f', 3, 64)
+	}
+	var lines [][]byte
+	end := t0.Add(24 * time.Hour)
+	for ts := t0; ts.Before(end); ts = ts.Add(10 * time.Minute) {
+		for probe := 1; probe <= 4; probe++ {
+			unix := ts.Unix()
+			var b bytes.Buffer
+			fmt.Fprintf(&b, `{"fw":4790,"lts":%d,"endtime":%d,"dst_name":"193.0.14.129","dst_addr":"193.0.14.129",`+
+				`"src_addr":"192.168.1.%d","proto":"ICMP","af":4,"size":48,"paris_id":%d,"result":[`,
+				10+probe, unix+4, 10+probe, 1+probe%16)
+			fmt.Fprintf(&b, `{"hop":1,"result":[{"from":"192.168.1.1","ttl":64,"size":76,"rtt":%s},`+
+				`{"from":"192.168.1.1","ttl":64,"size":76,"rtt":%s},{"from":"192.168.1.1","ttl":64,"size":76,"rtt":%s}]},`,
+				rtt(0.5), rtt(0.5), rtt(0.5))
+			fmt.Fprintf(&b, `{"hop":2,"result":[{"from":"203.0.113.%d","ttl":254,"size":76,"rtt":%s},{"x":"*"},`+
+				`{"from":"203.0.113.%d","ttl":254,"size":76,"rtt":%s}]},`,
+				probe, rtt(2+float64(probe)), probe, rtt(2+float64(probe)))
+			fmt.Fprintf(&b, `{"hop":3,"result":[{"from":"198.51.100.1","ttl":253,"size":76,"rtt":%s},`+
+				`{"from":"198.51.100.1","ttl":253,"size":76,"rtt":%s},{"err":"N","from":"198.51.100.1","ttl":253,"size":76,"rtt":%s}]},`,
+				rtt(6), rtt(6), rtt(6))
+			b.WriteString(`{"hop":4,"result":[{"x":"*"},{"x":"*"},{"x":"*"}]},`)
+			fmt.Fprintf(&b, `{"hop":5,"result":[{"from":"193.0.14.129","ttl":60,"size":48,"rtt":%s},`+
+				`{"from":"193.0.14.129","ttl":60,"size":48,"rtt":%s},{"from":"193.0.14.129","ttl":60,"size":48,"rtt":%s}]}],`,
+				rtt(9), rtt(9), rtt(9))
+			fmt.Fprintf(&b, `"msm_id":5010,"prb_id":%d,"timestamp":%d,"msm_name":"Traceroute","from":"203.0.113.%d",`+
+				`"type":"traceroute","group_id":5010,"stored_timestamp":%d}`,
+				probe, unix, 99-probe, unix+31)
+			lines = append(lines, b.Bytes())
+		}
+	}
+	return lines
+}
+
+// BenchmarkIngestDecodeJSONAtlasShape is the zero-alloc JSON parser on
+// Atlas-API-shaped lines, where skipped fields, short RTT literals and
+// timeout replies weigh more than in MarshalAtlas output — 0 allocs/op
+// is gated by check.sh.
+func BenchmarkIngestDecodeJSONAtlasShape(b *testing.B) {
+	lines := atlasShapeBenchLines()
 	b.SetBytes(byteTotal(lines))
 	b.ReportAllocs()
 	var r lastmile.Result

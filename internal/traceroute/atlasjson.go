@@ -221,7 +221,11 @@ func (s *Scanner) Scan() bool {
 		}
 		return true
 	}
-	s.err = s.sc.Err()
+	if err := s.sc.Err(); err != nil {
+		// The line the scanner failed in: an oversize line never
+		// reaches the counter above.
+		s.err = fmt.Errorf("line %d: traceroute: %w", s.line+1, err) //lmvet:ignore allocguard terminal error path: the scan is over
+	}
 	return false
 }
 

@@ -24,12 +24,28 @@ package traceroute
 // FuzzParseAtlasJSON pins the containment: every input ParseAtlasInto
 // accepts, ParseAtlas accepts with an identical Result.
 //
+// The kernel makes one pass per token. scanNumber validates the JSON
+// number grammar while it accumulates up to 19 significant digits and a
+// decimal exponent; integer fields read their value straight from that,
+// floats convert it by Clinger's exact path (mantissa below 2^53,
+// |exponent| ≤ 22) or, for the 17-digit shortest forms MarshalAtlas
+// writes, by Eisel–Lemire (eisellemire.go), with strconv.ParseFloat on
+// the literal as the fallback for truncated mantissas, clipped or
+// out-of-table exponents and undecided halfway cases. readKey folds a
+// key once, so field dispatch is exact comparison. readString runs on a
+// byte-class table, and skipSpace returns after one compare when no
+// whitespace follows. Replies remember the last "from" literal and the
+// address it parsed to: Atlas repeats a responder across a hop's
+// replies, and the parse is a pure function of the bytes, so the memo
+// skips most address parses without changing any result.
+//
 // The code avoids closures and string conversions throughout — not
 // style, contract: allocguard flags both classes on hot paths, so
 // object/array walking is explicit loops over enterObject/nextMember
 // rather than callbacks.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"net/netip"
@@ -80,18 +96,27 @@ const (
 	litFalse = "false"
 )
 
-// atlasParser is the pooled per-parse state: the input cursor plus two
-// reusable buffers (string unescaping, reply source-address retention).
+// atlasParser is the pooled per-parse state: the input cursor, reusable
+// buffers (string unescaping, key folding, reply source-address
+// retention) and the reply-address memo, which outlives a parse.
 type atlasParser struct {
-	data    []byte
-	pos     int
-	scratch []byte // unescape buffer, valid until the next readString
-	fromBuf []byte // holds a reply's "from" string across its object
+	data     []byte
+	pos      int
+	scratch  []byte     // unescape buffer, valid until the next readString
+	keyBuf   []byte     // folded object key, valid until the next readKey
+	fromBuf  []byte     // holds a reply's "from" string across its object
+	memoFrom []byte     // the last reply address literal parsed ...
+	memoAddr netip.Addr // ... and the address it parsed to
 }
 
 var atlasParserPool = sync.Pool{
 	New: func() any {
-		return &atlasParser{scratch: make([]byte, 0, 64), fromBuf: make([]byte, 0, 64)}
+		return &atlasParser{
+			scratch:  make([]byte, 0, 64),
+			keyBuf:   make([]byte, 0, 32),
+			fromBuf:  make([]byte, 0, 64),
+			memoFrom: make([]byte, 0, 64),
+		}
 	},
 }
 
@@ -116,8 +141,18 @@ func (p *atlasParser) errAt(msg string) error {
 	return &SyntaxError{Off: p.pos, Msg: msg} //lmvet:ignore allocguard terminal error path: one allocation when a stream aborts on malformed input
 }
 
-// skipSpace advances past JSON whitespace.
+// skipSpace advances past JSON whitespace. Every byte at or below ' '
+// is either whitespace or invalid wherever a token may start, so one
+// compare settles the common no-whitespace case.
 func (p *atlasParser) skipSpace() {
+	if p.pos < len(p.data) && p.data[p.pos] > ' ' {
+		return
+	}
+	p.skipSpaceSlow()
+}
+
+// skipSpaceSlow is skipSpace's loop, out of line so skipSpace inlines.
+func (p *atlasParser) skipSpaceSlow() {
 	for p.pos < len(p.data) {
 		switch p.data[p.pos] {
 		case ' ', '\t', '\n', '\r':
@@ -200,7 +235,7 @@ func (p *atlasParser) parseResultObject(r *Result) error {
 			return err
 		}
 		switch {
-		case keyEquals(key, "fw"):
+		case bytesEqualString(key, "fw"):
 			if err := p.mark(&seen, seenFw); err != nil {
 				return err
 			}
@@ -209,7 +244,7 @@ func (p *atlasParser) parseResultObject(r *Result) error {
 			if _, _, err := p.parseIntField(); err != nil {
 				return err
 			}
-		case keyEquals(key, "af"):
+		case bytesEqualString(key, "af"):
 			if err := p.mark(&seen, seenAF); err != nil {
 				return err
 			}
@@ -220,7 +255,7 @@ func (p *atlasParser) parseResultObject(r *Result) error {
 			if !isNull {
 				r.AF = int(v)
 			}
-		case keyEquals(key, "prb_id"):
+		case bytesEqualString(key, "prb_id"):
 			if err := p.mark(&seen, seenPrbID); err != nil {
 				return err
 			}
@@ -231,7 +266,7 @@ func (p *atlasParser) parseResultObject(r *Result) error {
 			if !isNull {
 				r.ProbeID = int(v)
 			}
-		case keyEquals(key, "msm_id"):
+		case bytesEqualString(key, "msm_id"):
 			if err := p.mark(&seen, seenMsmID); err != nil {
 				return err
 			}
@@ -242,7 +277,7 @@ func (p *atlasParser) parseResultObject(r *Result) error {
 			if !isNull {
 				r.MsmID = int(v)
 			}
-		case keyEquals(key, "timestamp"):
+		case bytesEqualString(key, "timestamp"):
 			if err := p.mark(&seen, seenTimestamp); err != nil {
 				return err
 			}
@@ -253,28 +288,28 @@ func (p *atlasParser) parseResultObject(r *Result) error {
 			if !isNull {
 				r.Timestamp = time.Unix(v, 0).UTC()
 			}
-		case keyEquals(key, "src_addr"):
+		case bytesEqualString(key, "src_addr"):
 			if err := p.mark(&seen, seenSrcAddr); err != nil {
 				return err
 			}
 			if err := p.parseAddrField(&r.SrcAddr); err != nil {
 				return err
 			}
-		case keyEquals(key, "from"):
+		case bytesEqualString(key, "from"):
 			if err := p.mark(&seen, seenFrom); err != nil {
 				return err
 			}
 			if err := p.parseAddrField(&r.FromAddr); err != nil {
 				return err
 			}
-		case keyEquals(key, "dst_addr"):
+		case bytesEqualString(key, "dst_addr"):
 			if err := p.mark(&seen, seenDstAddr); err != nil {
 				return err
 			}
 			if err := p.parseAddrField(&r.DstAddr); err != nil {
 				return err
 			}
-		case keyEquals(key, "proto"):
+		case bytesEqualString(key, "proto"):
 			if err := p.mark(&seen, seenProto); err != nil {
 				return err
 			}
@@ -285,7 +320,7 @@ func (p *atlasParser) parseResultObject(r *Result) error {
 			if !isNull {
 				r.Proto = InternProto(s)
 			}
-		case keyEquals(key, "result"):
+		case bytesEqualString(key, "result"):
 			if err := p.mark(&seen, seenResult); err != nil {
 				return err
 			}
@@ -344,7 +379,7 @@ func (p *atlasParser) parseHop(h *HopResult) error {
 			return err
 		}
 		switch {
-		case keyEquals(key, "hop"):
+		case bytesEqualString(key, "hop"):
 			if err := p.mark(&seen, seenHop); err != nil {
 				return err
 			}
@@ -355,7 +390,7 @@ func (p *atlasParser) parseHop(h *HopResult) error {
 			if !isNull {
 				h.Hop = int(v)
 			}
-		case keyEquals(key, "result"):
+		case bytesEqualString(key, "result"):
 			if err := p.mark(&seen, seenResult); err != nil {
 				return err
 			}
@@ -427,7 +462,7 @@ func (p *atlasParser) parseReply(rep *Reply) error {
 			return err
 		}
 		switch {
-		case keyEquals(key, "x"):
+		case bytesEqualString(key, "x"):
 			if err := p.mark(&seen, seenX); err != nil {
 				return err
 			}
@@ -438,7 +473,7 @@ func (p *atlasParser) parseReply(rep *Reply) error {
 			if !isNull {
 				sawX = len(s) > 0
 			}
-		case keyEquals(key, "err"):
+		case bytesEqualString(key, "err"):
 			if err := p.mark(&seen, seenErrKey); err != nil {
 				return err
 			}
@@ -449,7 +484,7 @@ func (p *atlasParser) parseReply(rep *Reply) error {
 			if !isNull {
 				sawErr = len(s) > 0
 			}
-		case keyEquals(key, "from"):
+		case bytesEqualString(key, "from"):
 			if err := p.mark(&seen, seenFrom); err != nil {
 				return err
 			}
@@ -463,7 +498,7 @@ func (p *atlasParser) parseReply(rep *Reply) error {
 				// x, err).
 				p.fromBuf = append(p.fromBuf[:0], s...)
 			}
-		case keyEquals(key, "rtt"):
+		case bytesEqualString(key, "rtt"):
 			if err := p.mark(&seen, seenRTT); err != nil {
 				return err
 			}
@@ -482,7 +517,7 @@ func (p *atlasParser) parseReply(rep *Reply) error {
 				return err
 			}
 			rtt, rttSet = v, true
-		case keyEquals(key, "ttl"):
+		case bytesEqualString(key, "ttl"):
 			if err := p.mark(&seen, seenTTL); err != nil {
 				return err
 			}
@@ -507,11 +542,16 @@ func (p *atlasParser) parseReply(rep *Reply) error {
 		rep.RTT = math.NaN()
 		return nil
 	}
-	addr, ok := parseAddrBytes(p.fromBuf)
-	if !ok {
-		return p.errAt("bad reply address")
+	if !bytes.Equal(p.fromBuf, p.memoFrom) {
+		addr, ok := parseAddrBytes(p.fromBuf)
+		if !ok {
+			return p.errAt("bad reply address")
+		}
+		// The literal becomes the memo key by a buffer swap, not a copy.
+		p.memoFrom, p.fromBuf = p.fromBuf, p.memoFrom
+		p.memoAddr = addr
 	}
-	rep.From = addr
+	rep.From = p.memoAddr
 	rep.RTT = rtt
 	rep.TTL = ttl
 	return nil
@@ -604,8 +644,12 @@ func (p *atlasParser) nextMember() (bool, error) {
 	return false, p.errAt("expected ',' or '}' in object")
 }
 
-// readKey reads `"key" :` and returns the decoded key, valid until the
-// next readString (callers match it before decoding the value).
+// readKey reads `"key" :` and returns the decoded key folded onto the
+// lowercase ASCII field names, so callers match it by exact comparison.
+// The key is valid until the next readString or readKey (callers match
+// it before decoding the value).
+//
+//lmvet:hotpath
 func (p *atlasParser) readKey() ([]byte, error) {
 	p.skipSpace()
 	key, err := p.readString()
@@ -617,7 +661,44 @@ func (p *atlasParser) readKey() ([]byte, error) {
 		return nil, p.errAt("expected ':' after object key")
 	}
 	p.pos++
+	for _, c := range key {
+		if c-'A' < 26 || c >= utf8.RuneSelf {
+			return p.foldKey(key), nil
+		}
+	}
 	return key, nil
+}
+
+// foldKey applies encoding/json's key folding as far as it can reach a
+// lowercase ASCII field name: ASCII letters lower, and the two Unicode
+// runes whose simple-fold orbit lands on an ASCII letter (KELVIN SIGN K
+// onto k, LATIN SMALL LETTER LONG S ſ onto s) become that letter. Any
+// other non-ASCII rune yields nil, a key no field matches. The folded
+// key lives in keyBuf.
+func (p *atlasParser) foldKey(key []byte) []byte {
+	buf := p.keyBuf[:0]
+	for i := 0; i < len(key); {
+		c := key[i]
+		size := 1
+		if c >= utf8.RuneSelf {
+			var r rune
+			r, size = utf8.DecodeRune(key[i:])
+			switch r {
+			case '\u212A': // KELVIN SIGN
+				c = 'k'
+			case '\u017F': // LATIN SMALL LETTER LONG S
+				c = 's'
+			default:
+				return nil
+			}
+		} else if c-'A' < 26 {
+			c += 'a' - 'A'
+		}
+		buf = append(buf, c) //lmvet:ignore allocguard key buffer grows once to the longest folded key, then every decode reuses it
+		i += size
+	}
+	p.keyBuf = buf
+	return buf
 }
 
 // enterArray consumes '[' and reports whether the array has elements;
@@ -681,141 +762,75 @@ func (p *atlasParser) parseIntField() (v int64, isNull bool, err error) {
 		}
 		return 0, true, nil
 	}
-	lit, err := p.readNumber()
+	n, err := p.scanNumber()
 	if err != nil {
 		return 0, false, err
 	}
-	i := 0
-	neg := false
-	if lit[0] == '-' {
-		neg = true
-		i = 1
+	if !n.integer {
+		return 0, false, p.errAt("number is not an integer")
 	}
-	var u uint64
-	for ; i < len(lit); i++ {
-		c := lit[i]
-		if c < '0' || c > '9' {
-			return 0, false, p.errAt("number is not an integer")
-		}
-		u = u*10 + uint64(c-'0')
-		if u > math.MaxInt64 {
-			return 0, false, p.errAt("integer overflow")
-		}
+	// Integer literals have no leading zeros, so a mantissa holding all
+	// the digits (exp 0) is the exact value.
+	if n.exp != 0 || n.mant > math.MaxInt64 {
+		return 0, false, p.errAt("integer overflow")
 	}
-	if neg {
-		return -int64(u), false, nil
+	if n.neg {
+		return -int64(n.mant), false, nil
 	}
-	return int64(u), false, nil
+	return int64(n.mant), false, nil
 }
 
-// parseFloatValue decodes a JSON number into a float64 with
-// strconv-identical rounding: the Clinger fast path covers every RTT
-// real Atlas data carries; mantissas beyond 19 significant digits or
-// decimal exponents outside ±22 fall back to strconv.ParseFloat.
+// parseFloatValue decodes a JSON number into a float64, bit-identical to
+// strconv.ParseFloat on the literal. Literals whose significant digits
+// all fit the mantissa take Clinger's exact path or Eisel–Lemire; the
+// rest (truncated mantissas, clipped or out-of-table exponents,
+// undecided halfway cases) fall back to strconv.
 func (p *atlasParser) parseFloatValue() (float64, error) {
-	lit, err := p.readNumber()
+	start := p.pos
+	n, err := p.scanNumber()
 	if err != nil {
 		return 0, err
 	}
-	f, ok := fastFloat(lit)
-	if ok {
-		return f, nil
+	if !n.trunc {
+		if f, ok := n.float(); ok {
+			return f, nil
+		}
 	}
-	f, perr := strconv.ParseFloat(string(lit), 64) //lmvet:ignore allocguard slow-path conversion for extreme literals; real Atlas RTTs take the exact fast path
+	f, perr := strconv.ParseFloat(string(p.data[start:p.pos]), 64) //lmvet:ignore allocguard slow-path conversion for literals beyond 19 significant digits or the Eisel–Lemire exponent range
 	if perr != nil {
 		return 0, p.errAt("number out of range")
 	}
 	return f, nil
 }
 
-// fastFloat is the exact fast path: a mantissa of at most 19 significant
-// digits that fits 2^53 combined with a decimal exponent in [-22, 22] is
-// correctly rounded by one float64 multiply or divide (Clinger 1990).
-// ok=false falls back to strconv.
-func fastFloat(lit []byte) (f float64, ok bool) {
-	i := 0
-	neg := false
-	if lit[0] == '-' {
-		neg = true
-		i = 1
-	}
-	var mant uint64
-	digits := 0
-	exp := 0
-	for ; i < len(lit); i++ {
-		c := lit[i]
-		if c < '0' || c > '9' {
-			break
+// number is one scanned JSON number: mant·10^exp, where mant holds the
+// first 19 significant decimal digits.
+type number struct {
+	mant    uint64
+	exp     int
+	neg     bool
+	trunc   bool // a non-zero digit beyond the 19th, or an exponent digit past expCap, was dropped
+	integer bool // no fraction and no exponent part
+}
+
+// float converts an untruncated number exactly: Clinger's path — a
+// mantissa below 2^53 and a decimal exponent in [-22, 22] are correctly
+// rounded by one float64 multiply or divide (zero keeps its sign) — or
+// Eisel–Lemire. ok=false sends the caller to strconv.
+func (n *number) float() (f float64, ok bool) {
+	if n.mant < 1<<53 && n.exp >= -22 && n.exp <= 22 {
+		f = float64(n.mant)
+		if n.exp > 0 {
+			f *= float64pow10[n.exp]
+		} else if n.exp < 0 {
+			f /= float64pow10[-n.exp]
 		}
-		if digits < 19 {
-			mant = mant*10 + uint64(c-'0')
-			if mant != 0 {
-				digits++
-			}
-		} else {
-			if c != '0' {
-				return 0, false // dropped a non-zero digit: inexact
-			}
-			exp++
+		if n.neg {
+			f = -f
 		}
+		return f, true
 	}
-	if i < len(lit) && lit[i] == '.' {
-		i++
-		for ; i < len(lit); i++ {
-			c := lit[i]
-			if c < '0' || c > '9' {
-				break
-			}
-			if digits < 19 {
-				mant = mant*10 + uint64(c-'0')
-				if mant != 0 {
-					digits++
-				}
-				exp--
-			} else if c != '0' {
-				return 0, false
-			}
-		}
-	}
-	if i < len(lit) {
-		// Exponent part; the grammar was validated by readNumber.
-		i++ // 'e' | 'E'
-		eneg := false
-		if lit[i] == '+' || lit[i] == '-' {
-			eneg = lit[i] == '-'
-			i++
-		}
-		ev := 0
-		for ; i < len(lit); i++ {
-			ev = ev*10 + int(lit[i]-'0')
-			if ev > 10000 {
-				return 0, false
-			}
-		}
-		if eneg {
-			ev = -ev
-		}
-		exp += ev
-	}
-	if mant == 0 {
-		if neg {
-			return math.Copysign(0, -1), true
-		}
-		return 0, true
-	}
-	if mant > 1<<53-1 || exp < -22 || exp > 22 {
-		return 0, false
-	}
-	f = float64(mant)
-	if exp > 0 {
-		f *= float64pow10[exp]
-	} else if exp < 0 {
-		f /= float64pow10[-exp]
-	}
-	if neg {
-		f = -f
-	}
-	return f, true
+	return eiselLemire64(n.mant, n.exp, n.neg)
 }
 
 // float64pow10 holds the powers of ten exactly representable as float64.
@@ -824,46 +839,106 @@ var float64pow10 = [23]float64{
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// readNumber consumes one JSON number token and returns its literal.
-func (p *atlasParser) readNumber() ([]byte, error) {
-	start := p.pos
-	if p.pos < len(p.data) && p.data[p.pos] == '-' {
-		p.pos++
+// expCap caps the explicit exponent scanNumber accumulates, so the
+// arithmetic cannot overflow on hostile input. A digit arriving once the
+// cap is reached marks the number truncated: the digit-position offset
+// of a long literal can cancel a clipped exponent back into the fast
+// paths' range, so only strconv reads such a literal.
+const expCap = 10000
+
+// scanNumber consumes one JSON number token in a single pass, validating
+// the grammar while it accumulates the significand and exponent.
+//
+//lmvet:hotpath
+func (p *atlasParser) scanNumber() (n number, err error) {
+	data := p.data
+	i := p.pos
+	if i < len(data) && data[i] == '-' {
+		n.neg = true
+		i++
 	}
-	switch {
-	case p.pos >= len(p.data):
-		return nil, p.errAt("expected a number")
-	case p.data[p.pos] == '0':
-		p.pos++
-	case p.data[p.pos] >= '1' && p.data[p.pos] <= '9':
-		for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
-			p.pos++
-		}
-	default:
-		return nil, p.errAt("expected a number")
+	if i >= len(data) || data[i]-'0' > 9 {
+		p.pos = i
+		return n, p.errAt("expected a number")
 	}
-	if p.pos < len(p.data) && p.data[p.pos] == '.' {
-		p.pos++
-		if p.pos >= len(p.data) || p.data[p.pos] < '0' || p.data[p.pos] > '9' {
-			return nil, p.errAt("bad number fraction")
-		}
-		for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
-			p.pos++
-		}
-	}
-	if p.pos < len(p.data) && (p.data[p.pos] == 'e' || p.data[p.pos] == 'E') {
-		p.pos++
-		if p.pos < len(p.data) && (p.data[p.pos] == '+' || p.data[p.pos] == '-') {
-			p.pos++
-		}
-		if p.pos >= len(p.data) || p.data[p.pos] < '0' || p.data[p.pos] > '9' {
-			return nil, p.errAt("bad number exponent")
-		}
-		for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
-			p.pos++
+	var mant uint64
+	nd := 0 // significant digits in mant
+	exp := 0
+	if data[i] == '0' {
+		i++
+	} else {
+		for ; i < len(data); i++ {
+			d := data[i] - '0'
+			if d > 9 {
+				break
+			}
+			if nd < 19 {
+				mant = mant*10 + uint64(d)
+				nd++
+			} else {
+				n.trunc = n.trunc || d != 0
+				exp++
+			}
 		}
 	}
-	return p.data[start:p.pos], nil
+	n.integer = true
+	if i < len(data) && data[i] == '.' {
+		n.integer = false
+		i++
+		start := i
+		for ; i < len(data); i++ {
+			d := data[i] - '0'
+			if d > 9 {
+				break
+			}
+			if nd < 19 {
+				mant = mant*10 + uint64(d)
+				if mant != 0 {
+					nd++ // leading zeros are not significant
+				}
+				exp--
+			} else {
+				n.trunc = n.trunc || d != 0
+			}
+		}
+		if i == start {
+			p.pos = i
+			return n, p.errAt("bad number fraction")
+		}
+	}
+	if i < len(data) && data[i]|0x20 == 'e' {
+		n.integer = false
+		i++
+		eneg := false
+		if i < len(data) && (data[i] == '+' || data[i] == '-') {
+			eneg = data[i] == '-'
+			i++
+		}
+		start := i
+		ev := 0
+		for ; i < len(data); i++ {
+			d := data[i] - '0'
+			if d > 9 {
+				break
+			}
+			if ev < expCap {
+				ev = ev*10 + int(d)
+			} else {
+				n.trunc = true
+			}
+		}
+		if i == start {
+			p.pos = i
+			return n, p.errAt("bad number exponent")
+		}
+		if eneg {
+			ev = -ev
+		}
+		exp += ev
+	}
+	p.pos = i
+	n.mant, n.exp = mant, exp
+	return n, nil
 }
 
 // parseStringField decodes a string-typed field or null. The returned
@@ -885,28 +960,42 @@ func (p *atlasParser) parseStringField() (s []byte, isNull bool, err error) {
 // ASCII without escapes, the reusable scratch buffer otherwise (valid
 // until the next readString). Escapes follow encoding/json, including
 // replacing unpaired surrogates and invalid UTF-8 with U+FFFD.
+//
+//lmvet:hotpath
 func (p *atlasParser) readString() ([]byte, error) {
-	if p.pos >= len(p.data) || p.data[p.pos] != '"' {
+	data := p.data
+	i := p.pos
+	if i >= len(data) || data[i] != '"' {
 		return nil, p.errAt("expected a string")
 	}
-	p.pos++
-	start := p.pos
-	for p.pos < len(p.data) {
-		c := p.data[p.pos]
-		if c == '"' {
-			s := p.data[start:p.pos]
-			p.pos++
-			return s, nil
-		}
-		if c == '\\' || c >= utf8.RuneSelf {
-			return p.readStringSlow(start)
-		}
-		if c < 0x20 {
-			return nil, p.errAt("raw control character in string")
-		}
-		p.pos++
+	i++
+	start := i
+	for i < len(data) && plainStringByte[data[i]] {
+		i++
 	}
-	return nil, p.errAt("unterminated string")
+	p.pos = i
+	switch {
+	case i >= len(data):
+		return nil, p.errAt("unterminated string")
+	case data[i] == '"':
+		p.pos = i + 1
+		return data[start:i], nil
+	case data[i] < 0x20:
+		return nil, p.errAt("raw control character in string")
+	}
+	return p.readStringSlow(start) // an escape or a non-ASCII byte
+}
+
+// plainStringByte is the byte-class table of readString's fast loop:
+// true for the bytes a string carries verbatim, false for the closing
+// quote, a backslash, control bytes and non-ASCII bytes.
+var plainStringByte = plainStringBytes()
+
+func plainStringBytes() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
 }
 
 // readStringSlow finishes a string containing escapes or non-ASCII
@@ -1031,7 +1120,7 @@ func (p *atlasParser) skipValue(depth int) error {
 	case c == '"':
 		return p.skipString()
 	case c == '-' || (c >= '0' && c <= '9'):
-		_, err := p.readNumber()
+		_, err := p.scanNumber()
 		return err
 	case c == 't':
 		return p.expectLiteral(litTrue)
@@ -1106,45 +1195,4 @@ func (p *atlasParser) skipString() error {
 		}
 	}
 	return p.errAt("unterminated string")
-}
-
-// keyEquals reports whether a decoded object key matches the lowercase
-// ASCII field name under encoding/json's case folding: ASCII case plus
-// the two Unicode runes whose simple-fold orbit lands on an ASCII letter
-// (KELVIN SIGN K onto k, LATIN SMALL LETTER LONG S ſ onto s) — so the
-// hand parser matches exactly the keys the reference codec matches.
-func keyEquals(key []byte, name string) bool {
-	j := 0
-	for i := 0; i < len(key); {
-		if j >= len(name) {
-			return false
-		}
-		c := key[i]
-		if c < utf8.RuneSelf {
-			if c >= 'A' && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			if c != name[j] {
-				return false
-			}
-			i++
-			j++
-			continue
-		}
-		r, size := utf8.DecodeRune(key[i:])
-		switch r {
-		case 'K': // U+212A KELVIN SIGN
-			c = 'k'
-		case 'ſ': // U+017F LATIN SMALL LETTER LONG S
-			c = 's'
-		default:
-			return false
-		}
-		if c != name[j] {
-			return false
-		}
-		i += size
-		j++
-	}
-	return j == len(name)
 }

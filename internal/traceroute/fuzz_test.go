@@ -2,6 +2,7 @@ package traceroute
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -39,6 +40,27 @@ func FuzzParseAtlasJSON(f *testing.F) {
 	// Key folding and escape handling must match encoding/json exactly.
 	f.Add([]byte(`{"PRB_ID": 3, "timestamp": 9}`))
 	f.Add([]byte(`{"proto": "𝄞\uD800x", "prb_id": 1}`))
+	// The single-pass number kernel: 17-digit shortest forms (past 2^53,
+	// the Eisel–Lemire path), exponent forms, a truncated mantissa.
+	f.Add([]byte(`{"result": [{"hop": 1, "result": [{"from": "10.0.0.1", "rtt": 12.345678901234567},` +
+		` {"from": "10.0.0.1", "rtt": 1.5e-7}, {"from": "10.0.0.1", "rtt": 9.007199254740993E+15}]},` +
+		` {"hop": 2, "result": [{"from": "10.0.0.2", "rtt": 0.12345678901234567890123, "ttl": 250}]}]}`))
+	// A long literal whose clipped exponent cancels its digit offset.
+	f.Add([]byte(`{"result": [{"hop": 1, "result": [{"from": "10.0.0.1", "rtt": 1` +
+		strings.Repeat("0", 10000) + `e-100000}]}]}`))
+	// One-shot key folding: uppercase keys, LONG S folding onto s (as a
+	// JSON escape and as raw UTF-8), KELVIN SIGN keys that match no field.
+	f.Add([]byte(`{"PRB_ID": 3, "TimeStamp": 9, "\u017Frc_addr": "10.0.0.9", "MSM_ID": 5,` +
+		` "result": [{"HOP": 1, "Result": [{"FROM": "10.0.0.1", "RTT": 1.25, "TTL": 3}]}]}`))
+	f.Add([]byte("{\"\u212A\": 1, \"m\u017Fm_id\": 2, \"\u212Aey\": {\"\u212A\": []}, \"prb_id\": 4}"))
+	// The reply-address memo: a hop whose replies alternate between two
+	// sources, then the same source opening consecutive results.
+	f.Add([]byte(`{"result": [{"hop": 1, "result": [{"from": "10.0.0.1", "rtt": 1},` +
+		` {"from": "10.0.0.2", "rtt": 2}, {"from": "10.0.0.1", "rtt": 3}]},` +
+		` {"hop": 2, "result": [{"from": "2001:db8::1", "rtt": 4}, {"from": "::ffff:10.0.0.1", "rtt": 5}]}]}`))
+	f.Add([]byte(`{"prb_id": 1, "result": [{"hop": 1, "result": [{"from": "10.0.0.1", "rtt": 1}, {"x": "*"}]}]}`))
+	f.Add([]byte(`{"prb_id": 2, "result": [{"hop": 1, "result": [{"from": "10.0.0.1", "rtt": 7, "err": "N"},` +
+		` {"from": "10.0.0.1", "rtt": 8}, {"from": "10.0.0.10", "rtt": 9}]}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var into Result

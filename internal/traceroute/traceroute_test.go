@@ -1,8 +1,10 @@
 package traceroute
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"math"
 	"net/netip"
 	"strings"
@@ -244,6 +246,28 @@ func TestScannerReportsLineOfError(t *testing.T) {
 	// After an error, Scan keeps returning false.
 	if sc.Scan() {
 		t.Fatal("Scan after error should return false")
+	}
+}
+
+// TestScannerLocatesOversizeLine pins that a line over the scanner's
+// 4 MiB limit fails with its line number, like a parse error, while the
+// cause stays matchable.
+func TestScannerLocatesOversizeLine(t *testing.T) {
+	data, _ := MarshalAtlas(sampleResult())
+	input := string(data) + "\n\n" + strings.Repeat(" ", 5<<20) + string(data) + "\n"
+	sc := NewScanner(strings.NewReader(input))
+	if !sc.Scan() {
+		t.Fatalf("first line should parse: %v", sc.Err())
+	}
+	if sc.Scan() {
+		t.Fatal("oversize line should fail")
+	}
+	err := sc.Err()
+	if err == nil || !strings.HasPrefix(err.Error(), "line 3: traceroute: ") {
+		t.Fatalf("err = %v, want prefix %q", err, "line 3: traceroute: ")
+	}
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("err = %v, want errors.Is bufio.ErrTooLong", err)
 	}
 }
 

@@ -63,8 +63,20 @@ type HopResult = traceroute.HopResult
 // Reply is a single probe reply.
 type Reply = traceroute.Reply
 
-// ParseAtlasResult decodes one RIPE Atlas traceroute result JSON object.
-func ParseAtlasResult(data []byte) (*Result, error) { return traceroute.ParseAtlas(data) }
+// ParseAtlasResult decodes one RIPE Atlas traceroute result JSON object
+// into a fresh Result, with the same zero-copy parser the result
+// scanners use. Its accept set is slightly stricter than encoding/json's:
+// it rejects a mapped field repeated in one object, zoned IPv6 addresses, values nested
+// more than 1000 deep and the integer -9223372036854775808, all absent
+// from Atlas data; everything it accepts, encoding/json decodes to the
+// same Result.
+func ParseAtlasResult(data []byte) (*Result, error) {
+	r := &Result{}
+	if err := traceroute.ParseAtlasInto(r, data); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
 
 // MarshalAtlasResult encodes a result in the RIPE Atlas JSON format.
 func MarshalAtlasResult(r *Result) ([]byte, error) { return traceroute.MarshalAtlas(r) }

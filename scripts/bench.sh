@@ -39,8 +39,9 @@
 # JSON vs the zero-alloc JSON parser vs the binary wire decoder, plus
 # the end-to-end archive replays) and rewrites BENCH_ingest.json. Those
 # rows carry MB/s so the JSON-vs-binary decode ratio is visible in the
-# snapshot; the 0 allocs_per_op on the two Decode rows (JSON and Wire,
-# not Stdlib) is the decode hot-path contract check.sh gates. The
+# snapshot; the 0 allocs_per_op on the three Decode rows (JSON,
+# JSONAtlasShape and Wire, not Stdlib) is the decode hot-path contract
+# check.sh gates. The
 # BenchmarkSurveyFeed row (one op = one traceroute fed to the batch
 # survey's streaming pass, 200000 iterations) carries the same 0
 # allocs_per_op contract.

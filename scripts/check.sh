@@ -154,14 +154,15 @@ go test -run '^$' -bench 'BenchmarkMonitorObserve|BenchmarkSurveyFeed$' -benchme
         if (bad > 0)   { print "zero-alloc gate: " bad " row(s) allocate on the hot path" > "/dev/stderr"; exit 1 }
       }'
 
-# Decode hot-path gate: the two steady-state decode benches — the
-# zero-alloc JSON parser and the binary wire decoder — must each report
-# exactly 0 allocs/op. One op decodes a full synthetic campaign day
-# (~576 results) into a reused Result, so 200 iterations amortise
-# scratch growth to steady state. BenchmarkIngestDecodeJSONStdlib is the
+# Decode hot-path gate: the three steady-state decode benches — the
+# zero-alloc JSON parser on MarshalAtlas output and on Atlas-API-shaped
+# lines, and the binary wire decoder — must each report exactly
+# 0 allocs/op. One op decodes a full synthetic campaign day (~576
+# results) into a reused Result, so 200 iterations amortise scratch
+# growth to steady state. BenchmarkIngestDecodeJSONStdlib is the
 # encoding/json baseline and is deliberately excluded.
-stage "zero-alloc decode gate (BenchmarkIngestDecode{JSON,Wire}, 0 allocs/op)"
-go test -run '^$' -bench 'BenchmarkIngestDecodeJSON$|BenchmarkIngestDecodeWire$' \
+stage "zero-alloc decode gate (BenchmarkIngestDecode{JSON,JSONAtlasShape,Wire}, 0 allocs/op)"
+go test -run '^$' -bench 'BenchmarkIngestDecodeJSON$|BenchmarkIngestDecodeJSONAtlasShape$|BenchmarkIngestDecodeWire$' \
   -benchmem -benchtime 200x -count=1 . \
   | tee /dev/stderr \
   | awk '
@@ -170,7 +171,7 @@ go test -run '^$' -bench 'BenchmarkIngestDecodeJSON$|BenchmarkIngestDecodeWire$'
         for (i = 2; i <= NF; i++) if ($i == "allocs/op" && $(i-1) != "0") bad++
       }
       END {
-        if (rows != 2) { print "decode gate: expected 2 benchmark rows, parsed " rows > "/dev/stderr"; exit 1 }
+        if (rows != 3) { print "decode gate: expected 3 benchmark rows, parsed " rows > "/dev/stderr"; exit 1 }
         if (bad > 0)   { print "decode gate: " bad " row(s) allocate on the decode hot path" > "/dev/stderr"; exit 1 }
       }'
 
