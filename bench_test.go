@@ -309,6 +309,12 @@ func BenchmarkAblationThresholds(b *testing.B) {
 // a single stripe while shards=8 spreads the same load — the delta is
 // the striping win. Verdicts are identical at any shard count; only
 // throughput changes.
+//
+// Engine bins only append on insert and settle their median on the
+// first read after a write, and this benchmark never reads, so ns/op
+// excludes that deferred settle: compare it with rows recorded before
+// the append-and-settle bins only together with BenchmarkIncrementalBin
+// (internal/timeseries), which times insert plus settle per sample.
 func BenchmarkMonitorObserve(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

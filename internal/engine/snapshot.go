@@ -149,11 +149,9 @@ func Restore(r io.Reader, opts Options) (*Engine, error) {
 		sh.probes++
 		for i := range p.Bins {
 			sb := &p.Bins[i]
-			// The scanner reuses heap storage across frames; the restored
-			// bin owns its slices.
-			lo := append([]float64(nil), sb.Lo...)
-			hi := append([]float64(nil), sb.Hi...)
-			bin, err := timeseries.RestoreBin(lo, hi, sb.Groups)
+			// The scanner reuses heap storage across frames; RestoreBin
+			// copies it into storage the bin owns.
+			bin, err := timeseries.RestoreBin(sb.Lo, sb.Hi, sb.Groups)
 			if err != nil {
 				// Unreachable through the wire decoder, which validates
 				// heap state per frame; kept for defense in depth.

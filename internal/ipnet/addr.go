@@ -7,24 +7,47 @@
 package ipnet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 )
 
-// Well-known special-purpose blocks. Initialised once at package load; all
-// literals are valid so MustParsePrefix cannot panic here.
+// v4Private holds the IPv4 blocks IsPrivate matches, RFC 1918's three
+// first, as network address and prefix length. Matching one is a shift
+// and a compare on the address's uint32: classification runs for every
+// traceroute reply, where looping over netip.Prefix.Contains showed up
+// in profiles.
+var v4Private = [...]struct {
+	net  uint32
+	bits uint
+}{
+	{10 << 24, 8},           // 10.0.0.0/8 (RFC 1918)
+	{172<<24 | 16<<16, 12},  // 172.16.0.0/12 (RFC 1918)
+	{192<<24 | 168<<16, 16}, // 192.168.0.0/16 (RFC 1918)
+	{100<<24 | 64<<16, 10},  // 100.64.0.0/10 (CGNAT, RFC 6598)
+	{169<<24 | 254<<16, 16}, // 169.254.0.0/16 (link-local)
+	{127 << 24, 8},          // 127.0.0.0/8 (loopback)
+}
+
+// Special-purpose IPv6 blocks. All literals are valid, so
+// MustParsePrefix cannot panic here.
 var (
-	rfc1918 = []netip.Prefix{
-		netip.MustParsePrefix("10.0.0.0/8"),
-		netip.MustParsePrefix("172.16.0.0/12"),
-		netip.MustParsePrefix("192.168.0.0/16"),
-	}
-	cgnat     = netip.MustParsePrefix("100.64.0.0/10")
-	linkLocal = netip.MustParsePrefix("169.254.0.0/16")
-	loopback4 = netip.MustParsePrefix("127.0.0.0/8")
-	ulaV6     = netip.MustParsePrefix("fc00::/7")
-	linkV6    = netip.MustParsePrefix("fe80::/10")
+	ulaV6  = netip.MustParsePrefix("fc00::/7")
+	linkV6 = netip.MustParsePrefix("fe80::/10")
 )
+
+// inV4Private reports whether the IPv4 address a lies in one of the
+// first n blocks of v4Private.
+func inV4Private(a netip.Addr, n int) bool {
+	b := a.As4()
+	v := binary.BigEndian.Uint32(b[:])
+	for _, p := range v4Private[:n] {
+		if v>>(32-p.bits) == p.net>>(32-p.bits) {
+			return true
+		}
+	}
+	return false
+}
 
 // IsRFC1918 reports whether addr falls in one of the three RFC 1918
 // private IPv4 blocks.
@@ -32,13 +55,7 @@ func IsRFC1918(addr netip.Addr) bool {
 	if !addr.Is4() && !addr.Is4In6() {
 		return false
 	}
-	a := addr.Unmap()
-	for _, p := range rfc1918 {
-		if p.Contains(a) {
-			return true
-		}
-	}
-	return false
+	return inV4Private(addr.Unmap(), 3)
 }
 
 // IsPrivate reports whether addr should be treated as belonging to the
@@ -51,7 +68,7 @@ func IsPrivate(addr netip.Addr) bool {
 	}
 	a := addr.Unmap()
 	if a.Is4() {
-		return IsRFC1918(a) || cgnat.Contains(a) || linkLocal.Contains(a) || loopback4.Contains(a)
+		return inV4Private(a, len(v4Private))
 	}
 	return ulaV6.Contains(a) || linkV6.Contains(a) || a.IsLoopback()
 }

@@ -1,6 +1,7 @@
 package ipnet
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -91,6 +92,75 @@ func TestPrivatePublicDisjoint(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPrivateMatchesPrefixContains checks the mask-compare
+// classification against netip.Prefix.Contains over random IPv4,
+// IPv4-in-IPv6 and IPv6 addresses, plus every block's first and last
+// address and their outside neighbours.
+func TestPrivateMatchesPrefixContains(t *testing.T) {
+	parse := func(ss ...string) []netip.Prefix {
+		ps := make([]netip.Prefix, len(ss))
+		for i, s := range ss {
+			ps[i] = netip.MustParsePrefix(s)
+		}
+		return ps
+	}
+	rfc1918 := parse("10.0.0.0/8", "172.16.0.0/12", "192.168.0.0/16")
+	private4 := append(parse("100.64.0.0/10", "169.254.0.0/16", "127.0.0.0/8"), rfc1918...)
+	private6 := parse("fc00::/7", "fe80::/10", "::1/128")
+	contains := func(ps []netip.Prefix, a netip.Addr) bool {
+		for _, p := range ps {
+			if p.Contains(a) {
+				return true
+			}
+		}
+		return false
+	}
+	check := func(a netip.Addr) {
+		t.Helper()
+		u := a.Unmap()
+		wantRFC := u.Is4() && contains(rfc1918, u)
+		wantPriv := contains(private4, u) || contains(private6, u)
+		if got := IsRFC1918(a); got != wantRFC {
+			t.Fatalf("IsRFC1918(%v) = %v, want %v", a, got, wantRFC)
+		}
+		if got := IsPrivate(a); got != wantPriv {
+			t.Fatalf("IsPrivate(%v) = %v, want %v", a, got, wantPriv)
+		}
+	}
+	mapped := func(v uint32) netip.Addr {
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], v)
+		return netip.AddrFrom4(b)
+	}
+	for _, p := range private4 {
+		b := p.Addr().As4()
+		first := binary.BigEndian.Uint32(b[:])
+		last := first | (1<<(32-p.Bits()) - 1)
+		for _, v := range []uint32{first - 1, first, first + 1, last - 1, last, last + 1} {
+			a := mapped(v)
+			check(a)
+			check(netip.AddrFrom16(a.As16()))
+		}
+	}
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 50000; i++ {
+		a := mapped(rng.Uint32())
+		check(a)
+		check(netip.AddrFrom16(a.As16()))
+		var b16 [16]byte
+		rng.Read(b16[:])
+		if i%4 == 0 {
+			b16[0] = 0xfc | byte(i>>2)&0x3 // bias toward fc00::/7 and fe80::/10
+			if i%8 == 0 {
+				b16[0], b16[1] = 0xfe, 0x80|b16[1]&0x7f
+			}
+		}
+		check(netip.AddrFrom16(b16))
+	}
+	check(netip.Addr{})
+	check(netip.IPv6Loopback())
 }
 
 func TestParseAddrUnmaps(t *testing.T) {

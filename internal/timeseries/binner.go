@@ -9,9 +9,10 @@ import (
 // and produces the per-bin median as a Series. The last-mile pipeline
 // feeds it the 216 pairwise RTT samples each probe produces per 30-minute
 // window (§2.1) and reads back a median-RTT series. Bins are
-// IncrementalBin cells, so medians are maintained incrementally with the
-// exact same arithmetic as the streaming engine — the batch result is a
-// replay of the incremental one.
+// IncrementalBin cells, so medians use the exact same arithmetic as the
+// streaming engine — the batch result is a replay of the incremental
+// one. Series settles each written bin, so it mutates the cells and is
+// not safe for concurrent use.
 type MedianBinner struct {
 	start time.Time
 	step  time.Duration
@@ -109,7 +110,8 @@ func (b *MedianBinner) GroupCount(i int) int { return b.bins[i].Groups() }
 // Bins returns the number of bins.
 func (b *MedianBinner) Bins() int { return len(b.bins) }
 
-// Series computes the per-bin median. Bins with fewer than minGroups
+// Series computes the per-bin median, settling each bin written since
+// the last read (see IncrementalBin). Bins with fewer than minGroups
 // groups become gaps (NaN) — the paper's "discard traceroutes in bins that
 // have less than 3 traceroutes" sanity check. Pass 0 to keep every
 // non-empty bin.

@@ -26,9 +26,11 @@
 # allocs/op stays flat.
 #
 # Record mode re-measures the hot-path benchmarks — engine ingestion
-# (BenchmarkMonitorObserve), the Fig-2 DSP pipeline (BenchmarkFig2), and
-# the engine state codec (BenchmarkSnapshot/BenchmarkMerge, whose MB/s
-# columns are snapshot bytes over serialize/merge wall time) — and
+# (BenchmarkMonitorObserve), the Fig-2 DSP pipeline (BenchmarkFig2), the
+# engine state codec (BenchmarkSnapshot/BenchmarkMerge, whose MB/s
+# columns are snapshot bytes over serialize/merge wall time), and one
+# bin's insert plus settling read per sample (BenchmarkIncrementalBin,
+# the median cost BenchmarkMonitorObserve defers past its timer) — and
 # rewrites BENCH_engine.json at the repo root. The ingest rows run
 # long (200000 iterations per shard width) so pool warm-up and map
 # growth amortise to their steady state; the checked-in allocs_per_op of
@@ -94,6 +96,8 @@ record() {
   go test -run '^$' -bench 'BenchmarkFig2$' -benchmem -benchtime 500x -count=1 . | tee -a "$raw" >&2
   echo "==> measuring BenchmarkSnapshot/BenchmarkMerge (engine state codec)" >&2
   go test -run '^$' -bench 'BenchmarkSnapshot$|BenchmarkMerge$' -benchmem -count=1 ./internal/engine | tee -a "$raw" >&2
+  echo "==> measuring BenchmarkIncrementalBin (bin insert + settle per sample)" >&2
+  go test -run '^$' -bench 'BenchmarkIncrementalBin$' -benchmem -benchtime 200000x -count=1 ./internal/timeseries | tee -a "$raw" >&2
   render_json "$raw" BENCH_engine.json \
     "hot-path benchmark snapshot; regenerate with scripts/bench.sh record"
 

@@ -136,13 +136,14 @@ go run ./cmd/lmvet \
   -baseline lmvet.baseline ./...
 
 # Hot-path gate, dynamic half: the ingest benchmarks — the streaming
-# monitor at every shard width and the batch survey's feed — must report
-# exactly 0 allocs/op. 200000 uncached iterations amortise pool warm-up
-# and window-map growth to steady state — the same measurements
+# monitor at every shard width, the batch survey's feed, and one engine
+# bin's insert plus settling read — must report exactly 0 allocs/op.
+# 200000 uncached iterations amortise pool warm-up, window-map and bin
+# storage growth to steady state — the same measurements
 # scripts/bench.sh record checks into BENCH_engine.json and
 # BENCH_ingest.json.
-stage "zero-alloc ingest gate (BenchmarkMonitorObserve, BenchmarkSurveyFeed, 0 allocs/op)"
-go test -run '^$' -bench 'BenchmarkMonitorObserve|BenchmarkSurveyFeed$' -benchmem -benchtime 200000x -count=1 . \
+stage "zero-alloc ingest gate (BenchmarkMonitorObserve, BenchmarkSurveyFeed, BenchmarkIncrementalBin, 0 allocs/op)"
+go test -run '^$' -bench 'BenchmarkMonitorObserve|BenchmarkSurveyFeed$|BenchmarkIncrementalBin$' -benchmem -benchtime 200000x -count=1 . ./internal/timeseries/ \
   | tee /dev/stderr \
   | awk '
       /^Benchmark/ && /allocs\/op/ {
